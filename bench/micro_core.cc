@@ -2,7 +2,8 @@
 // paper's "hash table ... necessary for each request"), Algorithm 1
 // selection, the ~migrate naming codec, the piggyback load-header
 // codec, whole-request serving through core::Server (cached and
-// regenerating), and the event-journal append.
+// regenerating), the event-journal append, and client-side framing of
+// a bulk response.
 //
 // CI runs this binary and diffs the result against the committed
 // results/BENCH_micro_core.json via tools/check_perf.py; ratios are
@@ -13,6 +14,7 @@
 
 #include "src/core/server.h"
 #include "src/graph/ldg.h"
+#include "src/http/wire.h"
 #include "src/load/piggyback.h"
 #include "src/migrate/naming.h"
 #include "src/migrate/selection.h"
@@ -240,6 +242,32 @@ void BM_EventJournalEmit(benchmark::State& state) {
   state.SetLabel("decision event with 4 GLT rows");
 }
 BENCHMARK(BM_EventJournalEmit);
+
+// Client side of a Sequoia-sized exchange: a 2 MiB response fed to the
+// framer in 64 KiB reads (net::ReadSome's default), checked for a
+// complete message after each read as a client loop does, then parsed.
+// Reported only; not perf-gated.
+void BM_FrameBulkResponse(benchmark::State& state) {
+  constexpr size_t kBodyBytes = size_t{2} << 20;
+  constexpr size_t kChunkBytes = size_t{64} << 10;
+  const std::string wire =
+      http::MakeOkResponse(std::string(kBodyBytes, 'R'), "image/gif")
+          .Serialize();
+  for (auto _ : state) {
+    http::MessageFramer framer;
+    std::optional<std::string> message;
+    for (size_t pos = 0; pos < wire.size(); pos += kChunkBytes) {
+      framer.Feed(std::string_view(wire).substr(pos, kChunkBytes));
+      message = framer.NextMessage();
+    }
+    auto response = http::ParseResponse(*message);
+    benchmark::DoNotOptimize(response);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(wire.size()));
+  state.SetLabel("2 MiB response, 64 KiB reads, frame + parse");
+}
+BENCHMARK(BM_FrameBulkResponse);
 
 // Fixed CPU-bound spin: the machine-speed anchor tools/check_perf.py
 // divides the other timings by, so the regression gate compares

@@ -931,7 +931,9 @@ Result<std::string> Server::RenderForTransfer(const std::string& path) {
 
   // Every internal link becomes absolute at its current location, so the
   // copy served by the co-op resolves references back to the cluster
-  // instead of into the co-op's own namespace.
+  // instead of into the co-op's own namespace.  That includes a link to
+  // the page itself: left site-absolute, it would name a path the co-op
+  // does not hold.
   std::unordered_map<std::string, std::string> chosen;
   html::RewriteResult rewritten = html::RewriteLinks(
       doc.content, path,
@@ -939,7 +941,6 @@ Result<std::string> Server::RenderForTransfer(const std::string& path) {
           -> std::optional<std::string> {
         std::optional<std::string> name = InternalPathFor(link);
         if (!name.has_value()) return std::nullopt;
-        if (*name == path) return std::nullopt;  // self link
         auto memo = chosen.find(*name);
         if (memo != chosen.end()) return memo->second;
         auto record = ldg_.Brief(*name);

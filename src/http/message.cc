@@ -52,9 +52,9 @@ void SerializeHeaders(const HeaderMap& headers, size_t body_size,
 
 }  // namespace
 
-std::string Request::Serialize() const {
+std::string Request::SerializeHead() const {
   std::string out;
-  out.reserve(128 + body.size());
+  out.reserve(128);
   out.append(method);
   out.push_back(' ');
   out.append(target);
@@ -62,13 +62,16 @@ std::string Request::Serialize() const {
   out.append(version);
   out.append("\r\n");
   SerializeHeaders(headers, body.size(), out);
-  out.append(body);
   return out;
 }
 
-std::string Response::Serialize() const {
+std::string Request::Serialize() const {
+  return SerializeHead() + body;
+}
+
+std::string Response::SerializeHead() const {
   std::string out;
-  out.reserve(128 + body.size());
+  out.reserve(128);
   out.append(version);
   out.push_back(' ');
   out.append(std::to_string(status_code));
@@ -76,8 +79,11 @@ std::string Response::Serialize() const {
   out.append(ReasonPhrase(status_code));
   out.append("\r\n");
   SerializeHeaders(headers, body.size(), out);
-  out.append(body);
   return out;
+}
+
+std::string Response::Serialize() const {
+  return SerializeHead() + body;
 }
 
 std::string_view ReasonPhrase(int status_code) {

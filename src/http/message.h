@@ -63,7 +63,12 @@ struct Request {
   HeaderMap headers;
   std::string body;
 
-  // Serializes to wire format (adds Content-Length when body non-empty).
+  // Request line and header block, through the blank line (adds
+  // Content-Length when the body is non-empty).  The wire format is
+  // SerializeHead() followed by `body`; transports send the two parts
+  // with one gathered write instead of concatenating them.
+  std::string SerializeHead() const;
+  // SerializeHead() + body, as one string.
   std::string Serialize() const;
 };
 
@@ -73,6 +78,8 @@ struct Response {
   HeaderMap headers;
   std::string body;
 
+  // Status line and header block; see Request::SerializeHead.
+  std::string SerializeHead() const;
   std::string Serialize() const;
   bool IsSuccess() const { return status_code >= 200 && status_code < 300; }
   bool IsRedirect() const { return status_code == 301 || status_code == 302; }

@@ -1,5 +1,8 @@
 #include "src/http/wire.h"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/util/string_util.h"
@@ -19,17 +22,26 @@ std::vector<std::string_view> HeaderLines(std::string_view block) {
   return lines;
 }
 
-// Locates the end of the header block.  Returns npos when incomplete.
-// On success, `header_end` is the offset just past the blank line.
-size_t FindHeaderEnd(std::string_view wire) {
-  size_t crlf = wire.find("\r\n\r\n");
-  size_t lf = wire.find("\n\n");
-  if (crlf == std::string_view::npos && lf == std::string_view::npos) {
-    return std::string_view::npos;
+// Locates the end of the header block: the offset just past the earliest
+// "\r\n\r\n" or "\n\n".  Returns npos when incomplete.  The search
+// starts at `from`; the caller guarantees that every '\n' before `from`
+// has already been ruled out as part of a terminator.
+size_t FindHeaderEnd(std::string_view wire, size_t from = 0) {
+  const char* data = wire.data();
+  const size_t size = wire.size();
+  while (from + 1 < size) {
+    const void* hit = std::memchr(data + from, '\n', size - from);
+    if (hit == nullptr) break;
+    size_t nl = static_cast<size_t>(static_cast<const char*>(hit) - data);
+    if (nl + 1 >= size) break;
+    if (data[nl + 1] == '\n') return nl + 2;
+    if (nl > 0 && data[nl - 1] == '\r' && nl + 2 < size &&
+        data[nl + 1] == '\r' && data[nl + 2] == '\n') {
+      return nl + 3;
+    }
+    from = nl + 1;
   }
-  if (crlf == std::string_view::npos) return lf + 2;
-  if (lf == std::string_view::npos) return crlf + 4;
-  return crlf < lf ? crlf + 4 : lf + 2;
+  return std::string_view::npos;
 }
 
 Status ParseHeaderFields(const std::vector<std::string_view>& lines,
@@ -141,33 +153,60 @@ void MessageFramer::Feed(std::string_view bytes) {
   buffer_.append(bytes);
 }
 
-std::optional<std::string> MessageFramer::NextMessage() {
-  if (!error_.ok()) return std::nullopt;
-  size_t header_end = FindHeaderEnd(buffer_);
-  if (header_end == std::string_view::npos) return std::nullopt;
+bool MessageFramer::FrameHeader() {
+  if (message_size_ != 0) return true;
+  if (!error_.ok()) return false;
+  size_t header_end = FindHeaderEnd(buffer_, scan_from_);
+  if (header_end == std::string_view::npos) {
+    // A terminator may straddle the next Feed: re-examine the last two
+    // bytes, whose '\n's could not be ruled out yet.
+    scan_from_ = buffer_.size() < 2 ? 0 : buffer_.size() - 2;
+    return false;
+  }
 
-  // Peek at Content-Length inside the header block.
   HeaderMap headers;
   auto lines = HeaderLines(std::string_view(buffer_).substr(0, header_end));
   if (lines.empty()) {
     error_ = Status::Corruption("empty message");
-    return std::nullopt;
+    return false;
   }
   Status s = ParseHeaderFields(lines, headers);
   if (!s.ok()) {
     error_ = s;
-    return std::nullopt;
+    return false;
   }
   auto body_len = DeclaredBodyLength(headers);
   if (!body_len.ok()) {
     error_ = body_len.status();
-    return std::nullopt;
+    return false;
   }
-  size_t total = header_end + *body_len;
-  if (buffer_.size() < total) return std::nullopt;
+  if (*body_len > std::numeric_limits<size_t>::max() - header_end) {
+    error_ = Status::Corruption("Content-Length overflows: " +
+                                std::to_string(*body_len));
+    return false;
+  }
+  message_size_ = header_end + *body_len;
+  // Pre-size only a response, whose length a server this process called
+  // declared.  A request's length comes from any peer, so its buffer
+  // grows only as the bytes arrive: a header alone pins no memory.
+  if (StartsWith(buffer_, "HTTP/")) {
+    buffer_.reserve(std::min(message_size_, kMaxReserveBytes));
+  }
+  return true;
+}
 
-  std::string message = buffer_.substr(0, total);
-  buffer_.erase(0, total);
+std::optional<std::string> MessageFramer::NextMessage() {
+  if (!FrameHeader() || buffer_.size() < message_size_) return std::nullopt;
+  std::string message;
+  if (buffer_.size() == message_size_) {
+    message = std::move(buffer_);
+    buffer_.clear();
+  } else {
+    message = buffer_.substr(0, message_size_);
+    buffer_.erase(0, message_size_);
+  }
+  scan_from_ = 0;
+  message_size_ = 0;
   return message;
 }
 

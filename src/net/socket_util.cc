@@ -3,9 +3,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -92,17 +95,48 @@ Result<Socket> ConnectLoopback(uint16_t port) {
 }
 
 Status WriteAll(const Socket& socket, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(socket.fd(), data.data() + sent,
-                       data.size() - sent, MSG_NOSIGNAL);
+  return WriteAll(socket, data, {});
+}
+
+Status WriteAll(const Socket& socket, std::string_view head,
+                std::string_view body) {
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  iovec* next = iov;
+  size_t count = 2;
+  while (true) {
+    while (count > 0 && next->iov_len == 0) {
+      ++next;
+      --count;
+    }
+    if (count == 0) return Status::Ok();
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
+    ssize_t n = ::sendmsg(socket.fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::Unavailable(Errno("send"));
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        // Non-blocking socket with a full send buffer: wait for room.
+        pollfd writable{socket.fd(), POLLOUT, 0};
+        if (::poll(&writable, 1, -1) >= 0 || errno == EINTR) continue;
+        return Status::Unavailable(Errno("poll"));
+      }
+      return Status::Unavailable(Errno("sendmsg"));
     }
-    sent += static_cast<size_t>(n);
+    // Consume the sent bytes; a partial write leaves `next` mid-iovec.
+    auto sent = static_cast<size_t>(n);
+    while (sent > 0) {
+      size_t step = std::min(sent, next->iov_len);
+      next->iov_base = static_cast<char*>(next->iov_base) + step;
+      next->iov_len -= step;
+      sent -= step;
+      if (next->iov_len == 0) {
+        ++next;
+        --count;
+      }
+    }
   }
-  return Status::Ok();
 }
 
 Result<std::string> ReadSome(const Socket& socket, size_t max) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/util/result.h"
 
@@ -44,6 +45,13 @@ Result<Socket> ConnectLoopback(uint16_t port);
 
 // Blocking full write.
 Status WriteAll(const Socket& socket, std::string_view data);
+
+// Blocking full write of `head` followed by `body` as one gathered
+// stream (sendmsg over two iovecs), so a message's head and body go out
+// without first being copied into one buffer.  Partial writes resume
+// mid-iovec; on a non-blocking socket a full send buffer is waited out.
+Status WriteAll(const Socket& socket, std::string_view head,
+                std::string_view body);
 
 // Blocking read of up to `max` bytes; empty string = orderly shutdown.
 Result<std::string> ReadSome(const Socket& socket, size_t max = 64 * 1024);

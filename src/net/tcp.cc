@@ -8,6 +8,23 @@
 
 namespace dcws::net {
 
+namespace {
+
+// Every message leaves through one gathered write: the serialized head
+// and the body, without concatenating them first.
+template <typename Message>
+Status WriteMessage(const Socket& conn, const Message& message) {
+  return WriteAll(conn, message.SerializeHead(), message.body);
+}
+
+Status WriteBadRequest(const Socket& conn) {
+  http::Response bad;
+  bad.status_code = 400;
+  return WriteMessage(conn, bad);
+}
+
+}  // namespace
+
 TcpServerHost::TcpServerHost(core::Server* server, TcpNetwork* network)
     : server_(server), network_(network) {}
 
@@ -101,7 +118,7 @@ void TcpServerHost::AcceptLoop() {
       // the workers draining the queue.
       dropped_.fetch_add(1);
       server_->CountQueueDrop(nullptr);
-      (void)WriteAll(conn, http::MakeOverloadedResponse().Serialize());
+      (void)WriteMessage(conn, http::MakeOverloadedResponse());
       continue;
     }
     queue_cv_.NotifyOne();
@@ -131,19 +148,15 @@ void TcpServerHost::ServeConnection(Socket conn, MicroTime accepted_at) {
     auto chunk = ReadSome(conn);
     if (!chunk.ok() || chunk->empty()) return;  // peer went away
     framer.Feed(*chunk);
+    wire = framer.NextMessage();
     if (framer.has_error()) {
-      http::Response bad;
-      bad.status_code = 400;
-      (void)WriteAll(conn, bad.Serialize());
+      (void)WriteBadRequest(conn);
       return;
     }
-    wire = framer.NextMessage();
   }
   auto request = http::ParseRequest(*wire);
   if (!request.ok()) {
-    http::Response bad;
-    bad.status_code = 400;
-    (void)WriteAll(conn, bad.Serialize());
+    (void)WriteBadRequest(conn);
     return;
   }
   core::RequestTrace trace;
@@ -155,7 +168,7 @@ void TcpServerHost::ServeConnection(Socket conn, MicroTime accepted_at) {
   http::Response response =
       server_->HandleRequest(*request, network_, &trace);
   MicroTime write_start = server_->clock()->Now();
-  (void)WriteAll(conn, response.Serialize());
+  (void)WriteMessage(conn, response);
   server_->ObserveNetWrite(server_->clock()->Now() - write_start);
 }
 
@@ -252,7 +265,7 @@ void TcpNetwork::StopAll() {
 Result<http::Response> TcpCall(uint16_t port,
                                const http::Request& request) {
   DCWS_ASSIGN_OR_RETURN(Socket conn, ConnectLoopback(port));
-  DCWS_RETURN_IF_ERROR(WriteAll(conn, request.Serialize()));
+  DCWS_RETURN_IF_ERROR(WriteMessage(conn, request));
   http::MessageFramer framer;
   while (true) {
     auto chunk = ReadSome(conn);
@@ -261,10 +274,10 @@ Result<http::Response> TcpCall(uint16_t port,
       return Status::Unavailable("connection closed mid-response");
     }
     framer.Feed(*chunk);
-    if (framer.has_error()) return framer.error();
     if (auto wire = framer.NextMessage()) {
       return http::ParseResponse(*wire);
     }
+    if (framer.has_error()) return framer.error();
   }
 }
 

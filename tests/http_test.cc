@@ -248,6 +248,131 @@ TEST(WireTest, FramerReportsBadContentLength) {
   EXPECT_TRUE(framer.has_error());
 }
 
+TEST(MessageTest, SerializeIsHeadThenBody) {
+  Response resp = MakeOkResponse("body\r\n\r\nbytes", "text/plain");
+  EXPECT_EQ(resp.Serialize(), resp.SerializeHead() + resp.body);
+  EXPECT_TRUE(resp.SerializeHead().ends_with("\r\n\r\n"));
+  EXPECT_NE(resp.SerializeHead().find("Content-Length: 13\r\n"),
+            std::string::npos);
+
+  Request req;
+  req.target = "/up.html";
+  req.body = "abc";
+  EXPECT_EQ(req.Serialize(), req.SerializeHead() + req.body);
+}
+
+// Feeds `wire` one byte at a time: every terminator and Content-Length
+// boundary straddles a chunk edge.  The message must appear exactly when
+// its last byte arrives, and not before.
+void ExpectFramedByteByByte(const std::string& wire) {
+  MessageFramer framer;
+  for (size_t i = 0; i + 1 < wire.size(); ++i) {
+    framer.Feed(std::string_view(wire).substr(i, 1));
+    ASSERT_FALSE(framer.NextMessage().has_value()) << "early at byte " << i;
+    ASSERT_FALSE(framer.has_error());
+  }
+  framer.Feed(std::string_view(wire).substr(wire.size() - 1));
+  auto message = framer.NextMessage();
+  ASSERT_TRUE(message.has_value());
+  EXPECT_EQ(*message, wire);
+  EXPECT_EQ(framer.buffered_bytes(), 0u);
+}
+
+TEST(WireTest, FramerByteByByteCrlfAndBareLf) {
+  ExpectFramedByteByByte(
+      "HTTP/1.0 200 OK\r\nContent-Length: 4\r\n\r\nabcd");
+  ExpectFramedByteByByte("HTTP/1.0 200 OK\nContent-Length: 4\n\nabcd");
+  // CR LF LF: the bare-LF blank line ends the block.
+  ExpectFramedByteByByte("HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\nab");
+  ExpectFramedByteByByte("GET /x.html HTTP/1.0\r\nHost: h:80\r\n\r\n");
+  ExpectFramedByteByByte("GET /x.html HTTP/1.0\n\n");
+}
+
+TEST(WireTest, FramerAndParserStopAtTheFirstBlankLine) {
+  // Terminators inside the body are body bytes, whichever style the
+  // header block used.
+  for (const char* body : {"a\n\nb", "a\r\n\r\nb", "\n\n\r\n\r\n"}) {
+    std::string crlf = MakeOkResponse(body, "text/plain").Serialize();
+    std::string lf = "HTTP/1.0 200 OK\nContent-Length: " +
+                     std::to_string(std::string_view(body).size()) +
+                     "\n\n" + body;
+    for (const std::string& wire : {crlf, lf}) {
+      ExpectFramedByteByByte(wire);
+      auto parsed = ParseResponse(wire);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_EQ(parsed->body, body);
+    }
+  }
+}
+
+TEST(WireTest, FramerHoldsPartialPipelinedMessage) {
+  std::string a = MakeOkResponse("first\n\n", "text/plain").Serialize();
+  std::string b = MakeOkResponse("second\r\n\r\n", "text/plain").Serialize();
+  const size_t half = b.size() / 2;
+
+  MessageFramer framer;
+  framer.Feed(a + b.substr(0, half));
+  auto m1 = framer.NextMessage();
+  ASSERT_TRUE(m1.has_value());
+  EXPECT_EQ(*m1, a);
+  EXPECT_FALSE(framer.NextMessage().has_value());
+  EXPECT_EQ(framer.buffered_bytes(), half);
+
+  framer.Feed(std::string_view(b).substr(half));
+  auto m2 = framer.NextMessage();
+  ASSERT_TRUE(m2.has_value());
+  EXPECT_EQ(*m2, b);
+  EXPECT_EQ(framer.buffered_bytes(), 0u);
+}
+
+TEST(WireTest, FramerIsReusableAfterHandingOutItsBuffer) {
+  MessageFramer framer;
+  for (int round = 0; round < 3; ++round) {
+    std::string body(1000 + round, static_cast<char>('a' + round));
+    std::string wire = MakeOkResponse(body, "text/plain").Serialize();
+    // Exactly one message buffered: handed out whole.
+    framer.Feed(wire);
+    auto message = framer.NextMessage();
+    ASSERT_TRUE(message.has_value());
+    EXPECT_EQ(*message, wire);
+    EXPECT_EQ(framer.buffered_bytes(), 0u);
+    EXPECT_FALSE(framer.NextMessage().has_value());
+  }
+  // A fresh header block split mid-terminator after the hand-over.
+  framer.Feed("HTTP/1.0 404 Not Found\r\n\r");
+  EXPECT_FALSE(framer.NextMessage().has_value());
+  framer.Feed("\n");
+  auto message = framer.NextMessage();
+  ASSERT_TRUE(message.has_value());
+  EXPECT_EQ(ParseResponse(*message)->status_code, 404);
+}
+
+TEST(WireTest, FramerSurvivesHugeDeclaredLengths) {
+  // UINT64_MAX, a length that overflows header_end + length, and a
+  // length that fits size_t but could never be allocated: each must end
+  // in an error or in waiting for more bytes, never in a throw, an abort
+  // or an allocation of the declared size.
+  for (const char* length : {"18446744073709551615", "18446744073709551610",
+                             "4611686018427387904"}) {
+    MessageFramer framer;
+    std::string head =
+        std::string("HTTP/1.0 200 OK\r\nContent-Length: ") + length +
+        "\r\n\r\nsome body bytes";
+    EXPECT_NO_THROW({
+      framer.Feed(head);
+      EXPECT_FALSE(framer.NextMessage().has_value());
+      framer.Feed(std::string(4096, 'x'));
+      EXPECT_FALSE(framer.NextMessage().has_value());
+    }) << length;
+    EXPECT_LE(framer.buffered_bytes(), head.size() + 4096);
+  }
+  MessageFramer overflow;
+  overflow.Feed("HTTP/1.0 200 OK\r\nContent-Length: 18446744073709551615"
+                "\r\n\r\n");
+  EXPECT_FALSE(overflow.NextMessage().has_value());
+  EXPECT_TRUE(overflow.has_error());
+}
+
 // A trace id set by one server survives serialization and parse on the
 // receiving server — the propagation channel behind joined co-op span
 // trees (same extension-header mechanism as the load piggyback).

@@ -306,6 +306,57 @@ TEST_P(WireProperty, RandomMessagesRoundTrip) {
   }
 }
 
+// A stream of pipelined messages with every terminator style, bodies
+// full of blank-line look-alikes, and random chunking must come out of
+// the framer as exactly the messages that went in, in order.
+TEST_P(WireProperty, FramerRecoversPipelinedMessagesUnderRandomChunking) {
+  static constexpr std::string_view kEol[] = {"\r\n", "\n"};
+  static constexpr std::string_view kBodyBits[] = {"x", "\n\n", "\r\n\r\n",
+                                                   "\r", "\n", "yz"};
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::string> messages;
+    std::string stream;
+    int count = 1 + static_cast<int>(rng_.NextBelow(5));
+    for (int m = 0; m < count; ++m) {
+      std::string body;
+      size_t bits = rng_.NextBelow(40);
+      for (size_t b = 0; b < bits; ++b) {
+        body += kBodyBits[rng_.NextBelow(std::size(kBodyBits))];
+      }
+      std::string_view eol = kEol[rng_.NextBelow(2)];
+      std::string wire = "HTTP/1.0 200 OK";
+      wire += eol;
+      wire += "X-Seq: " + std::to_string(m);
+      wire += eol;
+      if (!body.empty() || rng_.NextBelow(2) == 0) {
+        wire += "Content-Length: " + std::to_string(body.size());
+        wire += eol;
+      }
+      // After CRLF lines the blank line may be a bare LF (CR LF LF ends
+      // a block); after bare-LF lines "\n\r\n" would not.
+      wire += eol == "\n" ? eol : kEol[rng_.NextBelow(2)];
+      wire += body;
+      messages.push_back(wire);
+      stream += wire;
+    }
+
+    http::MessageFramer framer;
+    std::vector<std::string> framed;
+    size_t pos = 0;
+    while (pos < stream.size()) {
+      size_t chunk = 1 + rng_.NextBelow(64);
+      framer.Feed(std::string_view(stream).substr(pos, chunk));
+      pos += chunk;
+      while (auto message = framer.NextMessage()) {
+        framed.push_back(std::move(*message));
+      }
+      ASSERT_FALSE(framer.has_error()) << framer.error().ToString();
+    }
+    EXPECT_EQ(framed, messages);
+    EXPECT_EQ(framer.buffered_bytes(), 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WireProperty,
                          ::testing::Values(51, 52, 53, 54));
 

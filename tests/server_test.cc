@@ -4,6 +4,7 @@
 
 #include "src/core/cluster.h"
 #include "src/core/server.h"
+#include "src/html/links.h"
 #include "src/http/url.h"
 #include "src/migrate/naming.h"
 #include "src/obs/export.h"
@@ -204,6 +205,61 @@ TEST_F(ServerTest, TransferredHtmlHasAbsoluteLinks) {
   // cluster, not into the co-op's own namespace).
   EXPECT_EQ(resp.body.find("src=\"pic.gif\""), std::string::npos);
   EXPECT_NE(resp.body.find("http://"), std::string::npos);
+}
+
+// A page that links to itself, site-absolute as RegenerateDocument
+// writes local links, must not carry that path into its co-op copy: on
+// the co-op it would name a document the co-op does not hold.
+TEST(TransferTest, SelfLinkingPageCopyNamesOnlyGroupDocuments) {
+  ManualClock clock(Seconds(1));
+  Cluster cluster(3, TestParams(), &clock);
+  Server& home = cluster.server(0);
+  ASSERT_TRUE(home.LoadSite(
+                      {Doc("/index.html", "<a href=\"msg.html\">m</a>"),
+                       Doc("/msg.html",
+                           "<a href=\"/msg.html\">me</a>"
+                           "<a href=\"msg.html\">me again</a>"
+                           "<a href=\"index.html\">up</a>"
+                           "<img src=\"pic.gif\">"),
+                       Doc("/pic.gif", std::string(500, 'G'))},
+                      {"/index.html"})
+                  .ok());
+  cluster.TickAll();
+  for (int i = 0; i < 80; ++i) {
+    (void)home.HandleRequest(Get("/msg.html"), &cluster.network());
+  }
+  clock.Advance(Seconds(10));
+  cluster.TickAll();
+  auto record = home.ldg().Lookup("/msg.html");
+  ASSERT_TRUE(record.ok());
+  ASSERT_FALSE(record->location == home.address())
+      << "/msg.html did not migrate";
+  Server* coop = cluster.network().Find(record->location);
+  ASSERT_NE(coop, nullptr);
+
+  std::string target =
+      migrate::EncodeMigratedTarget(home.address(), "/msg.html");
+  Response copy = coop->HandleRequest(Get(target), &cluster.network());
+  ASSERT_EQ(copy.status_code, 200);
+  auto links = html::ExtractLinks(copy.body, target);
+  ASSERT_EQ(links.size(), 4u) << copy.body;
+  for (const html::LinkOccurrence& link : links) {
+    // Relative references resolve against the copy's URL on the co-op.
+    Server* server = coop;
+    std::string path = link.resolved;
+    if (link.external) {
+      auto url = http::Url::Parse(link.resolved);
+      ASSERT_TRUE(url.ok()) << link.raw;
+      server = cluster.network().Find({url->host, url->port});
+      ASSERT_NE(server, nullptr) << link.raw << " names no group server";
+      path = url->path;
+    }
+    Response resp = server->HandleRequest(Get(path), &cluster.network());
+    EXPECT_TRUE(resp.status_code == 200 || resp.status_code == 301)
+        << link.raw << " -> " << resp.status_code << " on "
+        << server->address().ToString() << "\n"
+        << copy.body;
+  }
 }
 
 TEST_F(ServerTest, PiggybackSpreadsLoadInfo) {

@@ -2,7 +2,10 @@
 // genuine HTTP/1.0 wire traffic between clients and servers and between
 // the cooperating servers themselves.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
 #include <thread>
 
@@ -96,6 +99,25 @@ TEST_F(TcpTest, NotFoundAndBadRequests) {
   auto reply = ReadSome(*conn);
   ASSERT_TRUE(reply.ok());
   EXPECT_NE(reply->find("400"), std::string::npos);
+}
+
+TEST_F(TcpTest, OverflowingContentLengthGetsAnImmediate400) {
+  // The client keeps the connection open and sends nothing more, so the
+  // reply must come from the header block alone.  The receive timeout
+  // turns a server that waits for more bytes into a failure, not a hang.
+  auto conn = ConnectLoopback(home_port_);
+  ASSERT_TRUE(conn.ok());
+  timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(conn->fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  ASSERT_TRUE(WriteAll(*conn,
+                       "PUT /index.html HTTP/1.0\r\n"
+                       "Content-Length: 18446744073709551615\r\n\r\n")
+                  .ok());
+  auto reply = ReadSome(*conn);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_TRUE(reply->starts_with("HTTP/1.0 400")) << *reply;
 }
 
 TEST_F(TcpTest, StatusEndpointReports) {
@@ -235,6 +257,65 @@ TEST(FsTest, SaveAndLoadDirectoryRoundTrip) {
   EXPECT_EQ((*loaded)[1].content, documents[0].content);
   EXPECT_EQ((*loaded)[0].content_type, "image/gif");
   EXPECT_EQ((*loaded)[2].content, "<p>nested</p>");
+}
+
+// Sends head + body with the gathered WriteAll from a non-blocking
+// socket whose send buffer is far smaller than the message, so sendmsg
+// can only take part of it each time; a reader thread drains the other
+// end in small reads.  Returns what the reader received.
+std::string SendGathered(std::string_view head, std::string_view body) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    ADD_FAILURE() << "socketpair failed";
+    return "";
+  }
+  Socket writer(fds[0]);
+  Socket reader(fds[1]);
+  int sndbuf = 4096;
+  EXPECT_EQ(::setsockopt(writer.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof(sndbuf)),
+            0);
+  socklen_t len = sizeof(sndbuf);
+  EXPECT_EQ(::getsockopt(writer.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &len),
+            0);
+  if (!body.empty()) {
+    EXPECT_LT(static_cast<size_t>(sndbuf), body.size());
+  }
+  EXPECT_EQ(::fcntl(writer.fd(), F_SETFL, O_NONBLOCK), 0);
+
+  std::string received;
+  std::thread drain([&] {
+    while (true) {
+      auto chunk = ReadSome(reader, 1500);
+      if (!chunk.ok() || chunk->empty()) return;
+      received += *chunk;
+    }
+  });
+  EXPECT_TRUE(WriteAll(writer, head, body).ok());
+  writer.Close();
+  drain.join();
+  return received;
+}
+
+TEST(GatheredWriteTest, PartialWritesReassembleToSerialize) {
+  std::string body(1 << 20, '\0');
+  for (size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<char>('a' + (i * 7 + i / 4096) % 26);
+  }
+  http::Response ok = http::MakeOkResponse(body, "image/gif");
+  EXPECT_EQ(SendGathered(ok.SerializeHead(), ok.body), ok.Serialize());
+
+  // HEAD: the head advertises the entity's length; the body is empty.
+  http::Response head;
+  head.headers.Set(std::string(http::kHeaderContentLength),
+                   std::to_string(body.size()));
+  EXPECT_EQ(SendGathered(head.SerializeHead(), head.body), head.Serialize());
+
+  http::Request put;
+  put.method = "PUT";
+  put.target = "/up.html";
+  put.body = body.substr(0, 100000);
+  EXPECT_EQ(SendGathered(put.SerializeHead(), put.body), put.Serialize());
 }
 
 TEST(FsTest, LoadMissingDirectoryFails) {
