@@ -2,5 +2,4 @@ dcws_module(html
   token.cc
   links.cc
   rewriter.cc
-  dom.cc
 )

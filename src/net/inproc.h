@@ -1,15 +1,14 @@
 #ifndef DCWS_NET_INPROC_H_
 #define DCWS_NET_INPROC_H_
 
-#include <deque>
 #include <future>
 #include <memory>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "src/core/server.h"
+#include "src/net/station.h"
 #include "src/util/mutex.h"
 #include "src/workload/browse.h"
 
@@ -18,12 +17,12 @@ namespace dcws::net {
 class InprocNetwork;
 
 // One DCWS server process realized with real threads, mirroring the
-// paper's §5.1 architecture: a bounded accept queue (the socket queue,
-// L_sq), N_wk worker threads draining it, and one statistics/pinger
-// thread running the periodic duties.  Lives inside the test process —
-// the transport is a queue hand-off instead of a TCP connection, but the
-// concurrency (many workers + background duties against one Server) is
-// genuine.
+// paper's §5.1 architecture on a Station: a bounded accept queue (the
+// socket queue, L_sq), N_wk worker threads draining it, and one
+// statistics/pinger thread running the periodic duties.  Lives inside
+// the test process — the transport is a queue hand-off instead of a TCP
+// connection, but the concurrency (many workers + background duties
+// against one Server) is genuine.
 class InprocServerHost {
  public:
   InprocServerHost(core::Server* server, InprocNetwork* network);
@@ -32,7 +31,7 @@ class InprocServerHost {
   InprocServerHost(const InprocServerHost&) = delete;
   InprocServerHost& operator=(const InprocServerHost&) = delete;
 
-  void Start();
+  void Start() { station_.Start(); }
   // Abrupt kill: in-flight requests complete, queued requests fail
   // Unavailable (the crash ate them).  Start() afterwards restarts the
   // host against the same Server state — a process restart whose
@@ -40,11 +39,8 @@ class InprocServerHost {
   void Stop();
   // Graceful drain: new calls are refused Unavailable, queued requests
   // are served to completion, then the threads stop.
-  void Drain();
-  bool running() const {
-    MutexLock lock(mutex_);
-    return running_ && !stopping_ && !draining_;
-  }
+  void Drain() { station_.Drain(); }
+  bool running() const { return station_.accepting(); }
 
   core::Server& server() { return *server_; }
 
@@ -52,38 +48,18 @@ class InprocServerHost {
   // immediately when the socket queue is full.
   Result<http::Response> Call(const http::Request& request);
 
-  uint64_t accepted() const;
-  uint64_t dropped() const;
+  uint64_t accepted() const { return station_.accepted(); }
+  uint64_t dropped() const { return station_.dropped(); }
 
  private:
   struct Job {
     http::Request request;
-    MicroTime enqueued = 0;  // accept time, for the accept_wait span
     std::promise<Result<http::Response>> promise;
   };
 
-  void WorkerLoop();
-  void DutyLoop();
-  void StopThreads();
-
   core::Server* server_;
   InprocNetwork* network_;
-
-  mutable Mutex mutex_;
-  CondVar queue_cv_;
-  std::deque<std::unique_ptr<Job>> queue_ DCWS_GUARDED_BY(mutex_);
-  bool running_ DCWS_GUARDED_BY(mutex_) = false;
-  bool stopping_ DCWS_GUARDED_BY(mutex_) = false;
-  bool draining_ DCWS_GUARDED_BY(mutex_) = false;
-  uint64_t accepted_ DCWS_GUARDED_BY(mutex_) = 0;
-  uint64_t dropped_ DCWS_GUARDED_BY(mutex_) = 0;
-
-  // Joined only by Stop(), which is serialized against Start() by the
-  // running_/stopping_ handshake; not touched by the pool itself.
-  // dcws-lint: allow(guarded-by): Start/Stop handshake serializes these
-  std::vector<std::thread> workers_;
-  // dcws-lint: allow(guarded-by): see workers_
-  std::thread duty_thread_;
+  Station<Job> station_;
 };
 
 // Routes server-to-server and client traffic between hosts in this

@@ -1,5 +1,6 @@
 dcws_module(net
   inproc.cc
   socket_util.cc
+  station.cc
   tcp.cc
 )

@@ -1,10 +1,8 @@
 #include "src/net/tcp.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include "src/http/wire.h"
-#include "src/util/logging.h"
 
 namespace dcws::net {
 
@@ -26,7 +24,12 @@ Status WriteBadRequest(const Socket& conn) {
 }  // namespace
 
 TcpServerHost::TcpServerHost(core::Server* server, TcpNetwork* network)
-    : server_(server), network_(network) {}
+    : server_(server),
+      network_(network),
+      station_(server, network,
+               [this](Socket conn, core::RequestTrace* trace) {
+                 ServeConnection(std::move(conn), trace);
+               }) {}
 
 Result<std::unique_ptr<TcpServerHost>> TcpServerHost::Start(
     core::Server* server, TcpNetwork* network, uint16_t listen_port) {
@@ -38,108 +41,60 @@ Result<std::unique_ptr<TcpServerHost>> TcpServerHost::Start(
       ListenLoopback(listen_port,
                      server->params().socket_queue_length, &bound));
   host->port_ = bound;
-
+  // The station first: the accept loop exits once offers are refused.
+  host->station_.Start();
   host->accept_thread_ = std::thread([h = host.get()]() {
     h->AcceptLoop();
   });
-  int workers = server->params().worker_threads;
-  host->workers_.reserve(workers);
-  for (int i = 0; i < workers; ++i) {
-    host->workers_.emplace_back([h = host.get()]() { h->WorkerLoop(); });
-  }
-  host->duty_thread_ = std::thread([h = host.get()]() { h->DutyLoop(); });
   return host;
 }
 
 TcpServerHost::~TcpServerHost() { Stop(); }
 
 void TcpServerHost::Stop() {
-  {
-    MutexLock lock(mutex_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  // Wake the blocked accept() WITHOUT closing the listener: shutdown()
-  // only reads the fd, while Close() would write fd_ = -1 racing the
-  // accept thread's listener_.fd() read — and would let the kernel hand
-  // the fd number to a concurrent open before accept() rechecks it.  A
-  // self-connection poke covers platforms where shutdown() on a
-  // listening socket does not unblock accept.  The fd is closed only
-  // after the accept thread has exited.
-  ::shutdown(listener_.fd(), SHUT_RDWR);
-  { auto poke = ConnectLoopback(port_); }
-  queue_cv_.NotifyAll();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.Close();
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
-  if (duty_thread_.joinable()) duty_thread_.join();
-  // Workers and duties are quiesced, so no more Emits: settle the JSONL
-  // mirror before Stop returns (artifact collectors read it next).
-  server_->journal().Flush();
-  MutexLock lock(mutex_);
-  pending_.clear();  // RAII closes any queued connections
+  // Queued connections come back unserved and close as they go out of
+  // scope.
+  station_.Stop([this]() {
+    // Wake the blocked accept() WITHOUT closing the listener: shutdown()
+    // only reads the fd, while Close() would write fd_ = -1 racing the
+    // accept thread's listener_.fd() read — and would let the kernel
+    // hand the fd number to a concurrent open before accept() rechecks
+    // it.  A self-connection poke covers platforms where shutdown() on a
+    // listening socket does not unblock accept.  The fd is closed only
+    // after the accept thread has exited.
+    ::shutdown(listener_.fd(), SHUT_RDWR);
+    { auto poke = ConnectLoopback(port_); }
+    if (accept_thread_.joinable()) accept_thread_.join();
+    listener_.Close();
+  });
 }
 
 void TcpServerHost::AcceptLoop() {
   while (true) {
     int fd = ::accept(listener_.fd(), nullptr, nullptr);
-    {
-      MutexLock lock(mutex_);
-      if (stopping_) {
-        if (fd >= 0) ::close(fd);
-        return;
-      }
-    }
     if (fd < 0) {
-      MutexLock lock(mutex_);
-      if (stopping_) return;
+      if (!station_.accepting()) return;
       continue;
     }
     Socket conn(fd);
-    accepted_.fetch_add(1);
-    bool enqueued = false;
-    {
-      MutexLock lock(mutex_);
-      if (pending_.size() <
-          static_cast<size_t>(server_->params().socket_queue_length)) {
-        pending_.push_back(
-            PendingConn{std::move(conn), server_->clock()->Now()});
-        enqueued = true;
-      }
-    }
-    if (!enqueued) {
+    Offered offered = station_.Offer(conn);
+    if (offered == Offered::kClosed) return;  // stopping; `conn` closes
+    if (offered == Offered::kFull) {
       // Socket queue overflow: graceful 503 (§5.2) and close.  The
       // server never sees the request; feed its outcome counters and
       // event journal (nullptr: the drop happens before the wire bytes
       // are parsed, so the event has no target or trace id).  Both the
-      // 503 write and the journal emit happen outside mutex_ — a slow
-      // client reading its rejection must not stall the accept path or
-      // the workers draining the queue.
-      dropped_.fetch_add(1);
+      // 503 write and the journal emit happen outside the station lock —
+      // a slow client reading its rejection must not stall the accept
+      // path or the workers draining the queue.
       server_->CountQueueDrop(nullptr);
       (void)WriteMessage(conn, http::MakeOverloadedResponse());
-      continue;
     }
-    queue_cv_.NotifyOne();
   }
 }
 
-void TcpServerHost::WorkerLoop() {
-  while (true) {
-    PendingConn pending;
-    {
-      MutexLock lock(mutex_);
-      while (!stopping_ && pending_.empty()) queue_cv_.Wait(mutex_);
-      if (stopping_) return;
-      pending = std::move(pending_.front());
-      pending_.pop_front();
-    }
-    ServeConnection(std::move(pending.conn), pending.accepted_at);
-  }
-}
-
-void TcpServerHost::ServeConnection(Socket conn, MicroTime accepted_at) {
+void TcpServerHost::ServeConnection(Socket conn,
+                                    core::RequestTrace* trace) {
   // HTTP/1.0: one request per connection.
   MicroTime read_start = server_->clock()->Now();
   http::MessageFramer framer;
@@ -159,30 +114,13 @@ void TcpServerHost::ServeConnection(Socket conn, MicroTime accepted_at) {
     (void)WriteBadRequest(conn);
     return;
   }
-  core::RequestTrace trace;
-  if (read_start > accepted_at) {
-    trace.queue_wait = read_start - accepted_at;
-  }
   MicroTime parsed = server_->clock()->Now();
-  if (parsed > read_start) trace.parse_micros = parsed - read_start;
+  if (parsed > read_start) trace->parse_micros = parsed - read_start;
   http::Response response =
-      server_->HandleRequest(*request, network_, &trace);
+      server_->HandleRequest(*request, network_, trace);
   MicroTime write_start = server_->clock()->Now();
   (void)WriteMessage(conn, response);
   server_->ObserveNetWrite(server_->clock()->Now() - write_start);
-}
-
-void TcpServerHost::DutyLoop() {
-  // Statistics + pinger thread (Tick spaces the real work by T_st /
-  // T_pi / T_val internally).
-  while (true) {
-    {
-      MutexLock lock(mutex_);
-      if (stopping_) return;
-    }
-    server_->Tick(network_);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
 }
 
 TcpNetwork::~TcpNetwork() { StopAll(); }

@@ -1,8 +1,6 @@
 #ifndef DCWS_NET_TCP_H_
 #define DCWS_NET_TCP_H_
 
-#include <atomic>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -10,6 +8,7 @@
 
 #include "src/core/server.h"
 #include "src/net/socket_util.h"
+#include "src/net/station.h"
 #include "src/util/mutex.h"
 #include "src/workload/browse.h"
 
@@ -19,9 +18,9 @@ class TcpNetwork;
 
 // A DCWS server on a real TCP socket — the paper's §5.1 process
 // structure made literal: one front-end thread accepting connections
-// into the bounded socket queue (L_sq; overflow answered 503 and
-// closed), N_wk worker threads parsing requests off the wire and
-// serving them, and one statistics/pinger duty thread.
+// into the station's bounded socket queue (L_sq; overflow answered 503
+// and closed), whose N_wk workers parse requests off the wire and serve
+// them, beside its statistics/pinger duty thread.
 //
 // Sockets bind 127.0.0.1; server *names* (the host part of
 // ServerAddress) resolve through the owning TcpNetwork's registry, which
@@ -41,48 +40,30 @@ class TcpServerHost {
   core::Server& server() { return *server_; }
   uint16_t port() const { return port_; }
 
-  uint64_t accepted() const { return accepted_.load(); }
-  uint64_t dropped() const { return dropped_.load(); }
+  // Connections taken off the listener, counting those shed with a 503.
+  uint64_t accepted() const {
+    return station_.accepted() + station_.dropped();
+  }
+  uint64_t dropped() const { return station_.dropped(); }
 
  private:
   TcpServerHost(core::Server* server, TcpNetwork* network);
 
   void AcceptLoop();
-  void WorkerLoop();
-  void DutyLoop();
   // Parses one request off `conn`, serves it, writes the response.
-  // HTTP/1.0 semantics: one request per connection.  `accepted_at` is
-  // when the front end queued the connection (for the accept_wait span).
-  void ServeConnection(Socket conn, MicroTime accepted_at);
+  // HTTP/1.0 semantics: one request per connection.
+  void ServeConnection(Socket conn, core::RequestTrace* trace);
 
   core::Server* server_;
   TcpNetwork* network_;
   // Bound by Start before any thread exists; Stop only shutdown()s it
   // (a read of the fd) until the accept thread has been joined.
-  // dcws-lint: allow(guarded-by): Start-then-Stop lifecycle, see above
   Socket listener_;
   uint16_t port_ DCWS_CONST_AFTER_INIT = 0;  // bound before threads start
-
-  Mutex mutex_;
-  CondVar queue_cv_;
-  // The socket queue (bounded by L_sq), each entry stamped with its
-  // accept time.
-  struct PendingConn {
-    Socket conn;
-    MicroTime accepted_at = 0;
-  };
-  std::deque<PendingConn> pending_ DCWS_GUARDED_BY(mutex_);
-  bool stopping_ DCWS_GUARDED_BY(mutex_) = false;
-
-  // Spawned by Start, joined only by Stop (idempotent via stopping_).
-  // dcws-lint: allow(guarded-by): Start/Stop lifecycle serializes these
+  // Spawned by Start, joined by the station's one-shot Stop hook.
   std::thread accept_thread_;
-  // dcws-lint: allow(guarded-by): see accept_thread_
-  std::vector<std::thread> workers_;
-  // dcws-lint: allow(guarded-by): see accept_thread_
-  std::thread duty_thread_;
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> dropped_{0};
+  // The socket queue, workers and duty thread.
+  Station<Socket> station_;
 };
 
 // Owns a group of TCP hosts and the name registry that maps DCWS server

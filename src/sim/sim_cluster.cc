@@ -46,7 +46,6 @@ void SimHost::Submit(http::Request request, ResponseCallback done) {
     // The server never sees the request; feed its outcome counters and
     // event journal so the registry adds up to what clients observed
     // (mirrors the real transports' kQueueDrop emission).
-    drops_ += 1;
     server_->CountQueueDrop(&request);
     ChargeBackground(world_->calib().redirect_cpu);
     world_->queue().ScheduleAfter(

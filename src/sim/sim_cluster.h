@@ -47,7 +47,6 @@ class SimHost {
   MicroTime ServiceTime(const http::Response& response,
                         const core::RequestTrace& trace) const;
 
-  uint64_t drops() const { return drops_; }
   size_t queue_length() const { return queue_.size(); }
 
  private:
@@ -66,7 +65,6 @@ class SimHost {
   std::deque<Pending> queue_;
   bool serving_ = false;
   MicroTime background_debt_ = 0;
-  uint64_t drops_ = 0;
 };
 
 // Cluster-wide totals of client-visible traffic, sampled by experiment

@@ -132,7 +132,11 @@ TEST(SimWorldTest, BacklogOverflowYields503) {
   world.queue().RunUntil(Seconds(5));
   EXPECT_EQ(ok, 5);
   EXPECT_EQ(dropped, 15);
-  EXPECT_EQ(world.host(0).drops(), 15u);
+  auto snapshot = world.host(0).server().metrics().Snapshot();
+  const obs::MetricSnapshot* drops = obs::FindMetric(
+      snapshot, "dcws_requests_total", {{"outcome", "dropped"}});
+  ASSERT_NE(drops, nullptr);
+  EXPECT_EQ(drops->value, 15.0);
 }
 
 TEST(SimWorldTest, ExecuteChargesRemoteHost) {

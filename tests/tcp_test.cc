@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "src/net/tcp.h"
+#include "src/obs/export.h"
 #include "src/storage/fs.h"
 #include "src/workload/browse.h"
 
@@ -234,6 +235,72 @@ TEST(TcpHistoryTest, RingFillsOverSockets) {
             std::string::npos)
       << body;
   EXPECT_NE(body.find("],["), std::string::npos) << body;
+}
+
+TEST(TcpOverflowTest, FullSocketQueueAnswers503AndRecovers) {
+  // One worker and L_sq = 2: an idle connection parks the worker in its
+  // read, two more idle connections fill the socket queue, and the next
+  // connection must be shed with an immediate 503 (§5.2).
+  WallClock clock;
+  core::ServerParams params = FastParams();
+  params.worker_threads = 1;
+  params.socket_queue_length = 2;
+  core::Server server({"tcp-shed", 8300}, params, &clock);
+  ASSERT_TRUE(
+      server.LoadSite({Doc("/index.html", "<p>hi</p>")}, {}).ok());
+  TcpNetwork network;
+  auto started = network.AddServer(&server);
+  ASSERT_TRUE(started.ok());
+  TcpServerHost* host = *started;
+  auto wait_accepted = [&](uint64_t n) {
+    for (int i = 0; i < 500 && host->accepted() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(host->accepted(), n);
+  };
+
+  auto parked = ConnectLoopback(host->port());
+  ASSERT_TRUE(parked.ok());
+  wait_accepted(1);
+  // Give the single worker time to dequeue it and block reading.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto queued_a = ConnectLoopback(host->port());
+  auto queued_b = ConnectLoopback(host->port());
+  ASSERT_TRUE(queued_a.ok() && queued_b.ok());
+  wait_accepted(3);
+
+  auto shed = ConnectLoopback(host->port());
+  ASSERT_TRUE(shed.ok());
+  timeval timeout{5, 0};
+  ASSERT_EQ(::setsockopt(shed->fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  auto reply = ReadSome(*shed);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_TRUE(reply->starts_with("HTTP/1.0 503")) << *reply;
+
+  EXPECT_EQ(host->dropped(), 1u);
+  auto snapshot = server.metrics().Snapshot();
+  const obs::MetricSnapshot* dropped = obs::FindMetric(
+      snapshot, "dcws_requests_total", {{"outcome", "dropped"}});
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value, static_cast<double>(host->dropped()));
+
+  // Closing the idle connections frees the worker, which then reads the
+  // queued ones to EOF; until it has, a GET may still be shed.
+  parked->Close();
+  queued_a->Close();
+  queued_b->Close();
+  http::Request get;
+  get.target = "/index.html";
+  auto page = TcpCall(host->port(), get);
+  for (int i = 0; i < 500 && page.ok() && page->status_code == 503; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    page = TcpCall(host->port(), get);
+  }
+  ASSERT_TRUE(page.ok()) << page.status();
+  EXPECT_EQ(page->status_code, 200);
+  network.StopAll();
 }
 
 TEST(FsTest, SaveAndLoadDirectoryRoundTrip) {
